@@ -9,7 +9,7 @@ use icdb_bench::full_counter;
 fn bench(c: &mut Criterion) {
     let mut icdb = icdb::Icdb::new();
     let name = full_counter(&mut icdb);
-    let base = icdb.instance(&name).unwrap().netlist.clone();
+    let base = (*icdb.instance(&name).unwrap().netlist).clone();
     let cells = icdb.cells.clone();
     let loads = LoadSpec::uniform(10.0);
     let min_cw = {

@@ -6,7 +6,7 @@ use icdb_bench::full_counter;
 fn bench(c: &mut Criterion) {
     let mut icdb = icdb::Icdb::new();
     let name = full_counter(&mut icdb);
-    let netlist = icdb.instance(&name).unwrap().netlist.clone();
+    let netlist = (*icdb.instance(&name).unwrap().netlist).clone();
     let cells = icdb.cells.clone();
     let mut group = c.benchmark_group("fig6_shape_function");
     group.sample_size(20);

@@ -4,6 +4,10 @@
 //! per-request warm speedup over cold generation measured in the same run
 //! (machine-portable, gated by `perfgate` in CI).
 //!
+//! It also times `Session::close` by namespace size (k = 256, 1024 and
+//! 4096 warm instances): closing must scale linearly in k, which
+//! `perfgate` checks as a ceiling on the k4096/k256 time ratio.
+//!
 //! Besides the criterion groups, `main` runs an explicit measurement pass
 //! and writes `BENCH_service_concurrency.json` next to this crate's
 //! manifest so CI can archive and gate the perf trajectory.
@@ -46,6 +50,27 @@ fn run_warm(service: &Arc<IcdbService>, sessions: usize, per_session: usize) -> 
         }
     });
     start.elapsed()
+}
+
+/// Namespace sizes the close measurement covers.
+const CLOSE_SIZES: [usize; 3] = [256, 1024, 4096];
+
+/// Median time to close a session holding `k` warm instances of the
+/// subject on a pre-primed service.
+fn close_median(service: &Arc<IcdbService>, k: usize) -> Duration {
+    let mut samples: Vec<Duration> = (0..3)
+        .map(|_| {
+            let session = service.open_session();
+            for _ in 0..k {
+                black_box(session.request_component(&subject()).unwrap());
+            }
+            let t = Instant::now();
+            assert_eq!(black_box(session.close()), k);
+            t.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2]
 }
 
 /// Median cold generation time of the subject on a dedicated server.
@@ -148,9 +173,28 @@ fn measure_summary() -> String {
             warm_per_req.as_nanos()
         ));
     }
+    let service = Arc::new(IcdbService::new());
+    service
+        .open_session()
+        .request_component(&subject())
+        .unwrap();
+    let closes: Vec<(usize, Duration)> = CLOSE_SIZES
+        .iter()
+        .map(|&k| (k, close_median(&service, k)))
+        .collect();
+    let mut fields = Vec::new();
+    for (k, t) in &closes {
+        println!("service_concurrency: close k={k} (cores={cores}): {t:?}");
+        fields.push(format!("\"k{k}_ns\": {}", t.as_nanos()));
+    }
+    let scaling = closes[2].1.as_secs_f64() / closes[0].1.as_secs_f64().max(1e-9);
+    println!("service_concurrency: close k4096/k256 = {scaling:.1} (linear scaling gives 16)");
     format!(
-        "{{\n  \"bench\": \"service_concurrency\",\n  \"scenarios\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
+        "{{\n  \"bench\": \"service_concurrency\",\n  \"scenarios\": [\n{}\n  ],\n  \
+         \"close\": {{\"subject\": \"close\", \"cores\": {cores}, {}, \
+         \"k4096_over_k256\": {scaling:.2}}}\n}}\n",
+        rows.join(",\n"),
+        fields.join(", ")
     )
 }
 

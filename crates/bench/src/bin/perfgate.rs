@@ -21,7 +21,9 @@
 //! headroom factor so run-to-run noise does not trip the gate.
 
 use icdb_bench::json::{parse, Json};
-use icdb_bench::perfgate::{evaluate, parse_baseline, render_baseline, render_table};
+use icdb_bench::perfgate::{
+    ceiling_gates, evaluate, parse_baseline, render_baseline, render_table,
+};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -84,13 +86,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (tolerance, gates) = match parse_baseline(&baseline_text) {
+    let (tolerance, mut gates) = match parse_baseline(&baseline_text) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("perfgate: malformed baseline: {e}");
             return ExitCode::FAILURE;
         }
     };
+    gates.extend(ceiling_gates());
     let results = evaluate(&gates, tolerance, &artifacts);
     print!("{}", render_table(&results, tolerance));
     if results.iter().all(|r| r.pass) {

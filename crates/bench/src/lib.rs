@@ -107,7 +107,7 @@ pub fn full_counter(icdb: &mut Icdb) -> String {
 pub fn fig6_data() -> ShapeFunction {
     let mut icdb = Icdb::new();
     let name = full_counter(&mut icdb);
-    icdb.instance(&name).expect("generated").shape.clone()
+    (*icdb.instance(&name).expect("generated").shape).clone()
 }
 
 /// E3 / §3.3 delay table: the CW/WD/SD report of the full counter.
@@ -141,7 +141,7 @@ pub fn fig10_data() -> (f64, Vec<(f64, f64, bool)>) {
     let mut icdb = Icdb::new();
     // Find an achievable target at the heaviest load, then hold it.
     let probe = full_counter(&mut icdb);
-    let base = icdb.instance(&probe).expect("generated").netlist.clone();
+    let base = (*icdb.instance(&probe).expect("generated").netlist).clone();
     let target = {
         let mut nl = base.clone();
         let r = icdb::sizing::size_netlist(
@@ -172,7 +172,7 @@ pub fn fig10_data() -> (f64, Vec<(f64, f64, bool)>) {
 pub fn fig11_data() -> Vec<(f64, f64, bool)> {
     let mut icdb = Icdb::new();
     let probe = full_counter(&mut icdb);
-    let base = icdb.instance(&probe).expect("generated").netlist.clone();
+    let base = (*icdb.instance(&probe).expect("generated").netlist).clone();
     let loads = LoadSpec::uniform(10.0);
     let min_cw = {
         let mut nl = base.clone();

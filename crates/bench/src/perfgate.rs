@@ -21,6 +21,11 @@
 //! The written baseline is the freshly measured value times a 0.8 headroom
 //! factor, so ordinary run-to-run noise does not trip the gate while real
 //! regressions still do.
+//!
+//! Next to those measured floors, [`CEILING_SPECS`] holds absolute upper
+//! bounds fixed by design (a scaling ratio that must stay below a line
+//! between linear and quadratic growth). They are not refreshed from
+//! measurements and do not live in the baseline file.
 
 use crate::json::{parse, Json};
 use std::fmt::Write as _;
@@ -50,7 +55,30 @@ pub const GATE_SPECS: &[(&str, &str, &str)] = &[
     ("metrics_overhead", "wire", "requests_per_sec"),
 ];
 
-/// One gate loaded from the baseline file.
+/// Lower-is-better ratios with a fixed upper bound:
+/// `(bench, subject, metric, max)`.
+///
+/// `close/k4096_over_k256`: closing a session of 4096 instances may take
+/// at most 48× as long as closing one of 256. Linear scaling gives 16; a
+/// close that scans the whole instance table once per instance gives 64.
+pub const CEILING_SPECS: &[(&str, &str, &str, f64)] =
+    &[("service_concurrency", "close", "k4096_over_k256", 48.0)];
+
+/// The gates of [`CEILING_SPECS`].
+pub fn ceiling_gates() -> Vec<Gate> {
+    CEILING_SPECS
+        .iter()
+        .map(|&(bench, subject, metric, max)| Gate {
+            bench: bench.to_string(),
+            subject: subject.to_string(),
+            metric: metric.to_string(),
+            baseline: max,
+            ceiling: true,
+        })
+        .collect()
+}
+
+/// One gate: a measured floor from the baseline file, or a fixed ceiling.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gate {
     /// `"bench"` field of the artifact this gate reads.
@@ -59,8 +87,11 @@ pub struct Gate {
     pub subject: String,
     /// Metric field name.
     pub metric: String,
-    /// Committed floor-reference value.
+    /// Committed floor-reference value, or the bound of a ceiling gate.
     pub baseline: f64,
+    /// Whether `baseline` is an absolute upper bound (see
+    /// [`CEILING_SPECS`]) rather than a floor with tolerance.
+    pub ceiling: bool,
 }
 
 /// One gate's verdict against the current artifacts.
@@ -113,6 +144,7 @@ pub fn parse_baseline(text: &str) -> Result<(f64, Vec<Gate>), String> {
                     .get("baseline")
                     .and_then(Json::as_f64)
                     .ok_or("gate lacks a numeric `baseline`")?,
+                ceiling: false,
             })
         })
         .collect::<Result<Vec<Gate>, &str>>()?;
@@ -158,7 +190,11 @@ pub fn evaluate(gates: &[Gate], tolerance: f64, artifacts: &[Json]) -> Vec<GateR
                 .find(|d| d.get("bench").and_then(Json::as_str) == Some(gate.bench.as_str()));
             let current = doc.and_then(|d| extract_metric(d, &gate.subject, &gate.metric));
             let ratio = current.map(|c| c / gate.baseline);
-            let pass = ratio.is_some_and(|r| r >= 1.0 - tolerance);
+            let pass = if gate.ceiling {
+                current.is_some_and(|c| c <= gate.baseline)
+            } else {
+                ratio.is_some_and(|r| r >= 1.0 - tolerance)
+            };
             GateResult {
                 gate: gate.clone(),
                 current,
@@ -201,7 +237,7 @@ pub fn render_table(results: &[GateResult], tolerance: f64) -> String {
     }
     let _ = writeln!(
         out,
-        "gate: FAIL when current < baseline × {:.2}",
+        "gate: FAIL when current < baseline × {:.2} (ceiling gates: current > baseline)",
         1.0 - tolerance
     );
     out
@@ -323,6 +359,23 @@ mod tests {
         // A fresh baseline always passes against the artifacts it came from.
         let results = evaluate(&gates, tolerance, &artifact(60.0, 50.0));
         assert!(results.iter().all(|r| r.pass), "{results:?}");
+    }
+
+    #[test]
+    fn ceiling_gates_fail_above_their_bound_only() {
+        let close = |scaling: f64| {
+            vec![parse(&format!(
+                r#"{{"bench": "service_concurrency",
+                    "close": {{"subject": "close", "k4096_over_k256": {scaling}}}}}"#
+            ))
+            .unwrap()]
+        };
+        let gates = ceiling_gates();
+        let verdict = |scaling| evaluate(&gates, DEFAULT_TOLERANCE, &close(scaling))[0].pass;
+        assert!(verdict(16.0), "linear close passes");
+        assert!(verdict(48.0), "the bound itself passes");
+        assert!(!verdict(64.0), "quadratic close fails");
+        assert!(!evaluate(&gates, DEFAULT_TOLERANCE, &[])[0].pass);
     }
 
     #[test]

@@ -16,12 +16,13 @@
 //! 3. **result layer** — the complete sized/estimated
 //!    [`GenerationPayload`] keyed by the full [`RequestKey`].
 //!
-//! A warm `request_component` therefore does one hash lookup plus a cheap
-//! instance clone (net names are interned `Arc<str>`, file-store views are
-//! shared `Arc<str>` blobs). Canonicalization also means *differently
-//! phrased* but equivalent requests share entries: `component_name:counter`
-//! and `implementation:COUNTER` with the same attributes resolve to the
-//! same key.
+//! A warm `request_component` therefore does one hash lookup plus a few
+//! reference-count bumps: the instance shares the payload's generated
+//! parts (see [`GenerationPayload::instance`]) and the file store shares
+//! its pre-rendered `Arc<str>` views. Canonicalization also means
+//! *differently phrased* but equivalent requests share entries:
+//! `component_name:counter` and `implementation:COUNTER` with the same
+//! attributes resolve to the same key.
 //!
 //! All three layers sit behind mutexes so the batch entry point
 //! ([`crate::Icdb::request_components_batch`]) can fan cold requests out
@@ -30,6 +31,7 @@
 //! surfaced through [`crate::Icdb::cache_stats`], the `cache_query` CQL
 //! command, and the relational `cache_stats` table.
 
+use crate::instance::ComponentInstance;
 use crate::spec::ComponentRequest;
 use icdb_estimate::{DelayReport, LoadSpec, ShapeFunction};
 use icdb_genus::ConnectionTable;
@@ -47,32 +49,32 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Everything the generation pipeline produces for one canonical request,
 /// minus the instance name (which is chosen at install time). Cached as
-/// `Arc<GenerationPayload>`; installing a warm hit clones the cheap parts
-/// and shares the text views.
+/// `Arc<GenerationPayload>`; every part an instance keeps is itself an
+/// `Arc`, so installing a warm hit copies no generated data.
 #[derive(Debug, Clone)]
 pub struct GenerationPayload {
     /// Implementation the payload was generated from (`COUNTER`, `iif`,
     /// `cluster`).
-    pub implementation: String,
+    pub implementation: Arc<str>,
     /// Functions the component can execute.
-    pub functions: Vec<String>,
+    pub functions: Arc<Vec<String>>,
     /// Parameter values used for expansion.
-    pub params: Vec<(String, i64)>,
+    pub params: Arc<Vec<(String, i64)>>,
     /// The sized, technology-mapped netlist.
-    pub netlist: GateNetlist,
+    pub netlist: Arc<GateNetlist>,
     /// Output loading assumed by the timing report.
-    pub loads: LoadSpec,
+    pub loads: Arc<LoadSpec>,
     /// Timing report (CW / WD / SD).
-    pub report: DelayReport,
+    pub report: Arc<DelayReport>,
     /// Shape function (strip-count sweep).
-    pub shape: ShapeFunction,
+    pub shape: Arc<ShapeFunction>,
     /// Dynamic power estimate under default operating conditions (µW) —
     /// precomputed so exploration sweeps pay for it on the cold path only.
     pub power_uw: f64,
     /// Whether the requested constraints were met.
     pub met: bool,
     /// Connection information inherited from the implementation.
-    pub connection: ConnectionTable,
+    pub connection: Arc<ConnectionTable>,
     /// Expanded-IIF view for the design-data store (absent for clusters).
     pub flat_iif: Option<Arc<str>>,
     /// MILO-format view for the design-data store (absent for clusters).
@@ -99,6 +101,24 @@ impl GenerationPayload {
     /// reproduces the live result byte-for-byte.
     pub fn fresh_for(&self, lib_version: u64, cells_version: u64) -> bool {
         self.lib_version == lib_version && self.cells_version == cells_version
+    }
+
+    /// A new instance named `name` that shares every generated part of
+    /// this payload (reference-count bumps only, no data copied).
+    pub fn instance(&self, name: Arc<str>) -> ComponentInstance {
+        ComponentInstance {
+            name,
+            implementation: Arc::clone(&self.implementation),
+            functions: Arc::clone(&self.functions),
+            params: Arc::clone(&self.params),
+            netlist: Arc::clone(&self.netlist),
+            loads: Arc::clone(&self.loads),
+            report: Arc::clone(&self.report),
+            shape: Arc::clone(&self.shape),
+            met: self.met,
+            connection: Arc::clone(&self.connection),
+            layout: None,
+        }
     }
 }
 
@@ -394,18 +414,22 @@ impl<K: Eq + Hash + Clone, V: Clone> LruMap<K, V> {
     }
 
     fn get(&mut self, key: &K) -> Option<V> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(e) => {
-                e.last_used = self.tick;
-                self.hits += 1;
-                Some(e.value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let hit = self.get_if_present(key);
+        if hit.is_none() {
+            self.tick += 1;
+            self.misses += 1;
         }
+        hit
+    }
+
+    /// [`LruMap::get`] that counts and refreshes a present key but leaves
+    /// the statistics untouched on absence (the caller looks up again).
+    fn get_if_present(&mut self, key: &K) -> Option<V> {
+        let e = self.map.get_mut(key)?;
+        self.tick += 1;
+        e.last_used = self.tick;
+        self.hits += 1;
+        Some(e.value.clone())
     }
 
     fn insert(&mut self, key: K, value: V) {
@@ -518,6 +542,12 @@ impl GenCache {
         lock(&self.results).get(key)
     }
 
+    /// Looks up a full generation payload, counting a hit but no miss: for
+    /// a probe whose miss is counted by the lookup that follows it.
+    pub(crate) fn get_result_if_cached(&self, key: &RequestKey) -> Option<Arc<GenerationPayload>> {
+        lock(&self.results).get_if_present(key)
+    }
+
     /// Stores a full generation payload.
     pub fn put_result(&self, key: RequestKey, value: Arc<GenerationPayload>) {
         lock(&self.results).insert(key, value);
@@ -563,6 +593,11 @@ mod tests {
         assert_eq!(lru.get(&3), Some(30));
         let s = lru.stats();
         assert_eq!(s.evictions, 1);
+        // A probe counts a hit, but leaves a miss to the lookup after it.
+        assert_eq!(lru.get_if_present(&2), None);
+        assert_eq!(lru.get_if_present(&3), Some(30));
+        assert_eq!(lru.stats().misses, s.misses);
+        assert_eq!(lru.stats().hits, s.hits + 1);
         assert_eq!(s.entries, 2);
         assert_eq!(s.hits + s.misses, s.lookups());
     }

@@ -534,7 +534,7 @@ impl Icdb {
                 "function" | "functions" => {
                     resp.set(
                         key,
-                        CqlValue::StrList(self.instance_in(ns, &name)?.functions.clone()),
+                        CqlValue::StrList(self.instance_in(ns, &name)?.functions.to_vec()),
                     );
                 }
                 "VHDL_net_list" => resp.set(key, CqlValue::Str(self.vhdl_netlist_in(ns, &name)?)),

@@ -354,19 +354,13 @@ impl Icdb {
             }
             MutationEvent::EndTransaction { ns, design } => {
                 let doomed = self.spaces.get_mut(*ns)?.designs.end_transaction(design)?;
-                let n = doomed.len();
-                for name in doomed {
-                    self.delete_instance_in(*ns, &name);
-                }
-                Ok(Applied::Deleted(n))
+                self.delete_instances_in(*ns, &doomed);
+                Ok(Applied::Deleted(doomed.len()))
             }
             MutationEvent::EndDesign { ns, design } => {
                 let doomed = self.spaces.get_mut(*ns)?.designs.end_design(design)?;
-                let n = doomed.len();
-                for name in doomed {
-                    self.delete_instance_in(*ns, &name);
-                }
-                Ok(Applied::Deleted(n))
+                self.delete_instances_in(*ns, &doomed);
+                Ok(Applied::Deleted(doomed.len()))
             }
             MutationEvent::CreateNamespace => Ok(Applied::Namespace(self.spaces.create())),
             MutationEvent::DropNamespace { ns } => {

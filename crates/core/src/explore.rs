@@ -365,7 +365,7 @@ impl Icdb {
                 .take()
                 .expect("every unpruned grid point was prepared");
             let payload = payload?;
-            let mut params = payload.params.clone();
+            let mut params = payload.params.to_vec();
             params.sort();
             let delay = if payload.report.clock_width > 0.0 {
                 payload.report.clock_width
@@ -373,7 +373,7 @@ impl Icdb {
                 payload.report.worst_output_delay()
             };
             let point = DesignPoint {
-                implementation: payload.implementation.clone(),
+                implementation: payload.implementation.to_string(),
                 params,
                 strategy,
                 area: payload.shape.best_area().map(|a| a.area()).unwrap_or(0.0),

@@ -11,6 +11,15 @@ use std::sync::Arc;
 
 /// One generated component instance with every piece of information the
 /// instance-query commands can return.
+///
+/// Everything but the name and the layout is the output of one
+/// generation and is shared, not copied: a warm install clones `Arc`
+/// handles out of the cached [`crate::GenerationPayload`], so instances
+/// of one request key point at the same netlist, report, shape and
+/// connection table. [`crate::Icdb::resize_for_load`] is the only
+/// mutator; it copies the netlist on write and replaces the report, shape
+/// and loads of that one instance. Each `Arc<T>` field encodes as `T`, so
+/// the snapshot encoding is field-wise exactly as if nothing were shared.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ComponentInstance {
     /// Instance name (user-assigned or ICDB-generated), interned so the
@@ -18,23 +27,23 @@ pub struct ComponentInstance {
     pub name: Arc<str>,
     /// Implementation it was generated from (`COUNTER`), or `"iif"` /
     /// `"cluster"` for inline-IIF and VHDL-cluster requests.
-    pub implementation: String,
+    pub implementation: Arc<str>,
     /// Functions the instance can execute.
-    pub functions: Vec<String>,
+    pub functions: Arc<Vec<String>>,
     /// Parameter values used for expansion.
-    pub params: Vec<(String, i64)>,
+    pub params: Arc<Vec<(String, i64)>>,
     /// The sized, technology-mapped netlist.
-    pub netlist: GateNetlist,
+    pub netlist: Arc<GateNetlist>,
     /// Output loading assumed for the timing report.
-    pub loads: LoadSpec,
+    pub loads: Arc<LoadSpec>,
     /// Timing report (CW / WD / SD).
-    pub report: DelayReport,
+    pub report: Arc<DelayReport>,
     /// Shape function (strip-count sweep).
-    pub shape: ShapeFunction,
+    pub shape: Arc<ShapeFunction>,
     /// Whether the requested constraints were met.
     pub met: bool,
     /// Connection information inherited from the implementation.
-    pub connection: ConnectionTable,
+    pub connection: Arc<ConnectionTable>,
     /// The most recently generated layout, if any.
     pub layout: Option<Layout>,
 }

@@ -312,20 +312,13 @@ impl Icdb {
         let Some(space) = self.spaces.remove(ns) else {
             return 0;
         };
-        let names = space.instance_order.clone();
         // The namespace is already detached; clean its design data out of
-        // the shared stores directly.
-        for name in &names {
-            for suffix in crate::server::INSTANCE_VIEW_SUFFIXES {
-                self.files
-                    .remove(&space::Namespace::file_path(ns, name, suffix));
-            }
-            let _ = self.db.execute(&format!(
-                "DELETE FROM instances WHERE name = '{}'",
-                space::Namespace::db_name(ns, name)
-            ));
-        }
-        names.len()
+        // the shared stores in one pass each. Every view file under its
+        // directory belongs to one of its instances.
+        self.delete_instance_rows(ns, |name| space.instances.contains_key(name));
+        self.files
+            .remove_prefix(&space::Namespace::file_dir(ns), |_| true);
+        space.instance_order.len()
     }
 
     /// Ids of all live namespaces (root included), in ascending order.

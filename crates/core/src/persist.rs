@@ -796,6 +796,106 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// [`ComponentInstance`] as it was before its generated parts were
+    /// shared: every field owned, same order.
+    #[derive(Serialize)]
+    struct OwnedInstance {
+        name: String,
+        implementation: String,
+        functions: Vec<String>,
+        params: Vec<(String, i64)>,
+        netlist: icdb_logic::GateNetlist,
+        loads: icdb_estimate::LoadSpec,
+        report: icdb_estimate::DelayReport,
+        shape: icdb_estimate::ShapeFunction,
+        met: bool,
+        connection: icdb_genus::ConnectionTable,
+        layout: Option<icdb_layout::Layout>,
+    }
+
+    impl From<ComponentInstance> for OwnedInstance {
+        fn from(i: ComponentInstance) -> OwnedInstance {
+            OwnedInstance {
+                name: i.name.to_string(),
+                implementation: i.implementation.to_string(),
+                functions: i.functions.to_vec(),
+                params: i.params.to_vec(),
+                netlist: (*i.netlist).clone(),
+                loads: (*i.loads).clone(),
+                report: (*i.report).clone(),
+                shape: (*i.shape).clone(),
+                met: i.met,
+                connection: (*i.connection).clone(),
+                layout: i.layout,
+            }
+        }
+    }
+
+    #[derive(Serialize)]
+    struct OwnedSpace {
+        id: u64,
+        counter: u64,
+        commits: u64,
+        designs: crate::designs::DesignManager,
+        instances: Vec<OwnedInstance>,
+    }
+
+    #[derive(Serialize)]
+    struct OwnedSnapshot {
+        acquired: Vec<AcquiredKnowledge>,
+        tools: ToolManager,
+        db: Database,
+        files: FileStore,
+        next_ns: u64,
+        spaces: Vec<OwnedSpace>,
+        corpus: icdb_store::corpus::CorpusStore,
+    }
+
+    /// Sharing is invisible on disk: an instance and a whole snapshot
+    /// encode to the same bytes as the all-owned field-wise layout, so
+    /// data directories written before and after read alike.
+    #[test]
+    fn shared_instances_encode_like_owned_ones() {
+        let mut icdb = Icdb::new();
+        let req = ComponentRequest::by_component("counter").attribute("size", "3");
+        let a = icdb.request_component(&req).unwrap();
+        icdb.request_component(&req).unwrap();
+        icdb.generate_layout(&a, None, None).unwrap();
+        let ns = icdb.create_namespace();
+        let c = icdb.request_component_in(ns, &req).unwrap();
+        let loads = icdb_estimate::LoadSpec::uniform(20.0);
+        icdb.resize_for_load_in(ns, &c, &loads, 12.0).unwrap();
+
+        let inst = icdb.instance(&a).unwrap().clone();
+        assert_eq!(
+            serde::to_bytes(&inst),
+            serde::to_bytes(&OwnedInstance::from(inst))
+        );
+
+        let snapshot = Snapshot::capture(&icdb);
+        let bytes = serde::to_bytes(&snapshot);
+        let owned = OwnedSnapshot {
+            acquired: snapshot.acquired,
+            tools: snapshot.tools,
+            db: snapshot.db,
+            files: snapshot.files,
+            next_ns: snapshot.next_ns,
+            spaces: snapshot
+                .spaces
+                .into_iter()
+                .map(|s| OwnedSpace {
+                    id: s.id,
+                    counter: s.counter,
+                    commits: s.commits,
+                    designs: s.designs,
+                    instances: s.instances.into_iter().map(OwnedInstance::from).collect(),
+                })
+                .collect(),
+            corpus: snapshot.corpus,
+        };
+        assert_eq!(bytes, serde::to_bytes(&owned));
+    }
+
     #[test]
     fn snapshot_restores_acquired_knowledge_and_designs() {
         let dir = temp_dir("acquired");

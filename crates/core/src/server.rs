@@ -30,8 +30,9 @@ use icdb_logic::{synthesize, Gate, GateNetlist, SynthOptions};
 use icdb_sizing::size_netlist;
 use icdb_store::Value;
 use icdb_vhdl::{emit_entity, emit_netlist, parse_netlist, vhdl_id};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How many strip-count alternatives the shape estimator sweeps.
 const MAX_SHAPE_STRIPS: usize = 8;
@@ -43,7 +44,7 @@ type PreparedPayload = Result<Arc<GenerationPayload>, IcdbError>;
 type KeyedPayload = (Option<RequestKey>, PreparedPayload);
 
 /// Design-data views persisted per instance (file suffixes).
-pub(crate) const INSTANCE_VIEW_SUFFIXES: [&str; 8] = [
+const INSTANCE_VIEW_SUFFIXES: [&str; 8] = [
     "iif",
     "milo",
     "vhdl",
@@ -53,6 +54,15 @@ pub(crate) const INSTANCE_VIEW_SUFFIXES: [&str; 8] = [
     "cif",
     "layout.txt",
 ];
+
+/// The instance a view file (`<name>.<suffix>`, relative to its
+/// namespace's [`Namespace::file_dir`]) belongs to. No suffix is a
+/// `.`-suffix of another, so the split is unambiguous.
+fn view_owner(view: &str) -> Option<&str> {
+    INSTANCE_VIEW_SUFFIXES
+        .iter()
+        .find_map(|suffix| view.strip_suffix(suffix)?.strip_suffix('.'))
+}
 
 impl Icdb {
     /// Generates a component instance and stores it; returns the instance
@@ -130,9 +140,9 @@ impl Icdb {
 
     /// The read-only half of a batch: prepares every request, fanning cold
     /// work across up to `workers` scoped threads sharing the cache. Safe
-    /// under a shared lock. `workers` is clamped to `1..=requests.len()`
-    /// (0 would otherwise spawn a scope with no workers and leave every
-    /// result slot empty — the `expect` below would panic).
+    /// under a shared lock. `workers` is clamped to `1..=` the number of
+    /// result-cache misses (0 would otherwise spawn a scope with no
+    /// workers and leave result slots empty).
     pub(crate) fn prepare_batch(
         &self,
         ns: NsId,
@@ -174,32 +184,53 @@ impl Icdb {
                 }
             }
         };
-        let workers = workers.clamp(1, requests.len().max(1));
-        if workers <= 1 {
-            return requests.iter().map(prepare_one).collect();
-        }
-        let slots: Vec<Mutex<Option<KeyedPayload>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(i) else {
-                        break;
-                    };
-                    let result = prepare_one(request);
-                    *crate::cache::lock(&slots[i]) = Some(result);
-                });
-            }
-        });
-        slots
+        // Warm points are answered on the calling thread: resolving a key
+        // and probing the result layer costs far less than starting a
+        // thread, so only the misses fan out, and only when two or more
+        // miss. A probe counts a hit but never a miss — the miss is
+        // counted once, by the generating call.
+        let mut slots: Vec<Option<KeyedPayload>> = requests
             .iter()
-            .map(|slot| {
-                crate::cache::lock(slot)
-                    .take()
-                    .expect("every request slot is filled")
+            .map(|request| match self.resolve_request_key(request) {
+                Ok(Some(key)) => self
+                    .cache
+                    .get_result_if_cached(&key)
+                    .map(|hit| (Some(key), Ok(hit))),
+                Ok(None) => None,
+                Err(err) => Some((None, Err(err))),
             })
+            .collect();
+        let misses: Vec<usize> = (0..requests.len())
+            .filter(|&i| slots[i].is_none())
+            .collect();
+        let workers = workers.clamp(1, misses.len().max(1));
+        if workers <= 1 {
+            for &i in &misses {
+                slots[i] = Some(prepare_one(&requests[i]));
+            }
+        } else {
+            let filled: Vec<Mutex<Option<KeyedPayload>>> =
+                misses.iter().map(|_| Mutex::new(None)).collect();
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let m = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = misses.get(m) else {
+                            break;
+                        };
+                        let result = prepare_one(&requests[i]);
+                        *crate::cache::lock(&filled[m]) = Some(result);
+                    });
+                }
+            });
+            for (&i, slot) in misses.iter().zip(filled) {
+                slots[i] = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every request slot is filled"))
             .collect()
     }
 
@@ -480,16 +511,16 @@ impl Icdb {
         let delay_text: Arc<str> = sizing.report.to_string().into();
         let shape_text: Arc<str> = shape.to_alternative_format().into();
         Ok(GenerationPayload {
-            implementation,
-            functions,
-            params,
-            netlist,
-            loads,
-            report: sizing.report,
-            shape,
+            implementation: implementation.into(),
+            functions: Arc::new(functions),
+            params: Arc::new(params),
+            netlist: Arc::new(netlist),
+            loads: Arc::new(loads),
+            report: Arc::new(sizing.report),
+            shape: Arc::new(shape),
             power_uw,
             met,
-            connection,
+            connection: Arc::new(connection),
             flat_iif,
             milo,
             vhdl,
@@ -504,7 +535,7 @@ impl Icdb {
     /// The mutating half of generation: names the instance (one interned
     /// allocation shared by the instance, the map key, the creation order
     /// and the return value), persists the payload's pre-rendered views,
-    /// and registers the instance in the namespace.
+    /// and registers an instance sharing the payload's generated parts.
     pub(crate) fn install_payload_in(
         &mut self,
         ns: NsId,
@@ -530,22 +561,11 @@ impl Icdb {
             )));
         }
 
-        let instance = ComponentInstance {
-            name: name.clone(),
-            implementation: payload.implementation.clone(),
-            functions: payload.functions.clone(),
-            params: payload.params.clone(),
-            netlist: payload.netlist.clone(),
-            loads: payload.loads.clone(),
-            report: payload.report.clone(),
-            shape: payload.shape.clone(),
-            met: payload.met,
-            connection: payload.connection.clone(),
-            layout: None,
-        };
         self.persist_payload(ns, &name, payload)?;
         let space = self.spaces.get_mut(ns)?;
-        space.instances.insert(name.clone(), instance);
+        space
+            .instances
+            .insert(name.clone(), payload.instance(name.clone()));
         space.instance_order.push(name.clone());
         space.designs.note_created(&name);
         Ok(name.to_string())
@@ -810,7 +830,8 @@ impl Icdb {
         clock_width: f64,
     ) -> Result<(), IcdbError> {
         // Disjoint-field borrow: the cell library is only read while the
-        // namespace's instance is mutated.
+        // namespace's instance is mutated. The netlist is copied on write:
+        // sibling instances of the same request keep sharing the original.
         let Icdb { cells, spaces, .. } = self;
         let inst = spaces
             .get_mut(ns)?
@@ -818,16 +839,17 @@ impl Icdb {
             .get_mut(instance)
             .ok_or_else(|| IcdbError::NotFound(format!("instance `{instance}`")))?;
         let goal = icdb_sizing::SizingGoal::clock(clock_width);
+        let netlist = Arc::make_mut(&mut inst.netlist);
         let result = size_netlist(
-            &mut inst.netlist,
+            netlist,
             cells,
             loads,
             &icdb_sizing::Strategy::Constraints(goal),
         );
-        inst.loads = loads.clone();
-        inst.report = result.report;
+        inst.loads = Arc::new(loads.clone());
+        inst.report = Arc::new(result.report);
         inst.met = result.met;
-        inst.shape = estimate_shape(&inst.netlist, cells, MAX_SHAPE_STRIPS)?;
+        inst.shape = Arc::new(estimate_shape(&inst.netlist, cells, MAX_SHAPE_STRIPS)?);
         Ok(())
     }
 
@@ -864,21 +886,36 @@ impl Icdb {
         Ok(&self.spaces.get(ns)?.instance_order)
     }
 
-    /// Deletes an instance and its design data.
-    pub(crate) fn delete_instance_in(&mut self, ns: NsId, name: &str) {
+    /// Deletes the named instances of `ns` and their design data (names
+    /// not present are skipped): one pass over the creation order, one
+    /// over the `instances` rows and one over the namespace's view files,
+    /// however many names there are.
+    pub(crate) fn delete_instances_in(&mut self, ns: NsId, names: &[String]) {
         let Ok(space) = self.spaces.get_mut(ns) else {
             return;
         };
-        if space.instances.remove(name).is_some() {
-            space.instance_order.retain(|n| &**n != name);
-            for suffix in INSTANCE_VIEW_SUFFIXES {
-                self.files.remove(&Namespace::file_path(ns, name, suffix));
-            }
-            let _ = self.db.execute(&format!(
-                "DELETE FROM instances WHERE name = '{}'",
-                Namespace::db_name(ns, name)
-            ));
+        let gone: HashSet<Arc<str>> = names
+            .iter()
+            .filter_map(|name| space.instances.remove_entry(name.as_str()))
+            .map(|(name, _)| name)
+            .collect();
+        if gone.is_empty() {
+            return;
         }
+        space.instance_order.retain(|name| !gone.contains(name));
+        self.delete_instance_rows(ns, |name| gone.contains(name));
+        self.files.remove_prefix(&Namespace::file_dir(ns), |view| {
+            view_owner(view).is_some_and(|name| gone.contains(name))
+        });
+    }
+
+    /// Deletes, in one pass over the `instances` table, the rows of the
+    /// instances of `ns` that `doomed` names.
+    pub(crate) fn delete_instance_rows(&mut self, ns: NsId, doomed: impl Fn(&str) -> bool) {
+        let rows = Namespace::db_name(ns, "");
+        let _ = self.db.delete_rows("instances", "name", |name| {
+            name.strip_prefix(rows.as_str()).is_some_and(&doomed)
+        });
     }
 
     /// §3.3 delay string (`CW …` / `WD port …` / `SD port …`).
@@ -1039,7 +1076,7 @@ impl Icdb {
             "instances",
             vec![
                 Value::Text(Namespace::db_name(ns, name)),
-                Value::Text(p.implementation.clone()),
+                Value::Text(p.implementation.to_string()),
                 Value::Int(p.netlist.gates.len() as i64),
                 Value::Real(p.shape.best_area().map(|a| a.area()).unwrap_or(0.0)),
                 Value::Real(p.report.clock_width),

@@ -135,6 +135,16 @@ impl Namespace {
         }
     }
 
+    /// Directory holding every view file of this namespace: the prefix of
+    /// each [`Namespace::file_path`].
+    pub(crate) fn file_dir(ns: NsId) -> String {
+        if ns == NsId::ROOT {
+            "instances/".to_string()
+        } else {
+            format!("s{}/instances/", ns.0)
+        }
+    }
+
     /// Name under which an instance appears in the shared relational
     /// `instances` table (scoped for sessions, bare for the root).
     pub(crate) fn db_name(ns: NsId, name: &str) -> String {
@@ -297,6 +307,12 @@ mod tests {
             Namespace::file_path(NsId(7), "counter$1", "cif"),
             "s7/instances/counter$1.cif"
         );
+        for ns in [NsId::ROOT, NsId(7)] {
+            assert_eq!(
+                Namespace::file_path(ns, "c$1", "cif"),
+                format!("{}c$1.cif", Namespace::file_dir(ns))
+            );
+        }
         assert_eq!(Namespace::db_name(NsId::ROOT, "x"), "x");
         assert_eq!(Namespace::db_name(NsId(7), "x"), "s7:x");
     }

@@ -177,15 +177,14 @@ pub fn estimate_area(
     let width = (x + y) / 2.0;
 
     // Height: transistor rows + routing tracks + shared supply rails.
-    let fanouts = nl.fanouts();
+    // A net feeding s gate inputs has s + 1 pins (driver + sinks) and
+    // needs s segments, so the segment count is the number of gate input
+    // pins. It is counted as an integer and scaled once: summing per-net
+    // floats in hash-map order rounded differently from run to run and
+    // could move the track count by one.
     let pitch = width * strips as f64 / n as f64;
-    let mut total_wire = 0.0;
-    for (_, sinks) in fanouts.iter() {
-        let pins = sinks.len() + 1; // driver + sinks
-        if pins >= 2 {
-            total_wire += (pins - 1) as f64 * pitch * 1.5;
-        }
-    }
+    let segments: usize = nl.gates.iter().map(|g| g.inputs.len()).sum();
+    let mut total_wire = segments as f64 * pitch * 1.5;
     // Ports add wiring to the boundary.
     total_wire += (nl.inputs.len() + nl.outputs.len()) as f64 * pitch;
 

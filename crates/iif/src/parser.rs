@@ -59,15 +59,50 @@ impl From<crate::token::LexError> for ParseError {
 /// ```
 pub fn parse(src: &str) -> Result<Module, ParseError> {
     let tokens = lex(src)?;
-    Parser { tokens, pos: 0 }.module()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .module()
 }
+
+/// Deepest nesting the parser accepts: blocks, sub-expressions and the
+/// operators of one chain each count a level. Past it the source is
+/// rejected, rather than recursing (or building a tree for the later
+/// passes to recurse over) deeper than a thread's stack can hold.
+const MAX_NESTING: usize = 128;
 
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Enters one more nesting level, failing past [`MAX_NESTING`].
+    fn deepen(&mut self) -> Result<(), ParseError> {
+        if self.depth >= MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level down, restoring the level afterwards
+    /// whether `f` succeeds or fails (the parser backtracks on failure).
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let outer = self.depth;
+        self.deepen()?;
+        let result = f(self);
+        self.depth = outer;
+        result
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos].token
     }
@@ -262,6 +297,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_unbounded)
+    }
+
+    fn stmt_unbounded(&mut self) -> Result<Stmt, ParseError> {
         match self.peek().clone() {
             Token::LBrace => {
                 self.bump();
@@ -374,6 +413,10 @@ impl Parser {
     /// [`Expr::Assign`]; aggregate operators are promoted to equations by
     /// the caller.
     fn assign_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::assign_expr_unbounded)
+    }
+
+    fn assign_expr_unbounded(&mut self) -> Result<Expr, ParseError> {
         // Look ahead: lvalue followed by an assignment operator?
         let start = self.pos;
         if let Token::Ident(name) = self.peek().clone() {
@@ -441,6 +484,10 @@ impl Parser {
     /// declarations (lowest first): `||`, `&&`, `== !=`, `<= >= < >`,
     /// `+ - ~d ~t ~w @ ~a`, `* / %`, `(+) (.)`, `**`, unary.
     fn expr_bp(&mut self, min_bp: u8) -> Result<Expr, ParseError> {
+        self.nested(|p| p.expr_bp_unbounded(min_bp))
+    }
+
+    fn expr_bp_unbounded(&mut self, min_bp: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
         loop {
             let (l_bp, r_bp, _tok) = match self.peek() {
@@ -463,6 +510,8 @@ impl Parser {
             if l_bp < min_bp {
                 break;
             }
+            // Each operator of a chain nests the tree built so far.
+            self.deepen()?;
             let op_tok = self.bump();
             lhs = match op_tok {
                 Token::TildeA => {
@@ -535,6 +584,10 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::unary_unbounded)
+    }
+
+    fn unary_unbounded(&mut self) -> Result<Expr, ParseError> {
         match self.peek().clone() {
             Token::Bang => {
                 self.bump();
@@ -854,5 +907,43 @@ SUBFUNCTION: RIPPLE;
             panic!()
         };
         assert!(matches!(**r, Expr::Binary(BinOp::Pow, ..)));
+    }
+
+    fn module_computing(expr: &str) -> String {
+        format!("NAME: T; INORDER: A; OUTORDER: O; {{ O = {expr}; }}")
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let deep = 100_000;
+        let cases = [
+            format!("{}A{}", "(".repeat(deep), ")".repeat(deep)),
+            format!("{}A", "!".repeat(deep)),
+            vec!["A"; deep].join(" + "),
+            vec!["A"; deep].join(" ** "),
+        ];
+        for expr in cases {
+            let e = parse(&module_computing(&expr)).unwrap_err();
+            assert!(e.message.contains("nesting deeper than"), "{e}");
+        }
+        let blocks = format!(
+            "NAME: T; INORDER: A; OUTORDER: O; {}O = A;{}",
+            "{".repeat(deep),
+            "}".repeat(deep)
+        );
+        assert!(parse(&blocks).unwrap_err().message.contains("nesting"));
+    }
+
+    #[test]
+    fn nesting_within_the_bound_parses() {
+        let parens = MAX_NESTING / 4;
+        let expr = format!("{}A{}", "(".repeat(parens), ")".repeat(parens));
+        assert!(parse(&module_computing(&expr)).is_ok());
+        let chain = vec!["A"; MAX_NESTING / 2].join(" + ");
+        assert!(parse(&module_computing(&chain)).is_ok());
+        // A failed look-ahead inside an index backtracks without leaking
+        // nesting levels into the rest of the parse.
+        let src = format!("NAME: T; INORDER: A[2]; OUTORDER: O; {{ O = A[0] + {chain}; }}");
+        assert!(parse(&src).is_ok());
     }
 }

@@ -280,6 +280,32 @@ impl Database {
         Ok(())
     }
 
+    /// Deletes, in one pass over `table`, every row whose text `column`
+    /// satisfies `doomed`; returns how many rows went. The programmatic
+    /// counterpart of `DELETE … WHERE column = …` for deleting many keys
+    /// at once without one table scan per key.
+    ///
+    /// # Errors
+    /// Fails on an unknown table or column.
+    pub fn delete_rows(
+        &mut self,
+        table: &str,
+        column: &str,
+        mut doomed: impl FnMut(&str) -> bool,
+    ) -> Result<usize, StoreError> {
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| serr(format!("no table `{table}`")))?;
+        let c = t
+            .column_index(column)
+            .ok_or_else(|| serr(format!("no column `{column}` in `{table}`")))?;
+        let before = t.rows.len();
+        t.rows
+            .retain(|row| !row[c].as_text().is_some_and(&mut doomed));
+        Ok(before - t.rows.len())
+    }
+
     fn create(&mut self, toks: &[Tok]) -> Result<usize, StoreError> {
         let mut i = 1;
         expect_kw(toks, &mut i, "TABLE")?;
@@ -580,6 +606,16 @@ impl FileStore {
         self.files.remove(path).is_some()
     }
 
+    /// Deletes, in one pass, every file under `prefix` whose path remainder
+    /// (the part after `prefix`) satisfies `doomed`; returns how many went.
+    /// Files outside `prefix` are never offered to `doomed`.
+    pub fn remove_prefix(&mut self, prefix: &str, mut doomed: impl FnMut(&str) -> bool) -> usize {
+        let before = self.files.len();
+        self.files
+            .retain(|path, _| !path.strip_prefix(prefix).is_some_and(&mut doomed));
+        before - self.files.len()
+    }
+
     /// All paths with a given prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<&str> {
         let mut v: Vec<&str> = self
@@ -726,6 +762,46 @@ mod tests {
         fs.write("a/x", "back");
         assert_eq!(fs.list("a/"), vec!["a/x", "a/y"]);
         assert_eq!(fs.read("a/x").unwrap(), "back");
+    }
+
+    #[test]
+    fn delete_rows_matches_one_text_column_in_one_pass() {
+        let mut db = db();
+        let n = db
+            .delete_rows("comp", "name", |name| name.starts_with("cnt"))
+            .unwrap();
+        assert_eq!(n, 2);
+        let left = db.query("SELECT name FROM comp").unwrap();
+        assert_eq!(left, vec![vec![Value::Text("add8".into())]]);
+        assert!(db.delete_rows("missing", "name", |_| true).is_err());
+        assert!(db.delete_rows("comp", "nope", |_| true).is_err());
+        // A non-text column never matches.
+        assert_eq!(db.delete_rows("comp", "bits", |_| true).unwrap(), 0);
+    }
+
+    #[test]
+    fn remove_prefix_offers_only_paths_under_the_prefix() {
+        let mut fs = FileStore::new();
+        fs.write("s1/instances/a.cif", "x");
+        fs.write("s1/instances/b.cif", "x");
+        fs.write("s10/instances/a.cif", "x");
+        fs.write("instances/a.cif", "x");
+        let mut offered = Vec::new();
+        let n = fs.remove_prefix("s1/instances/", |rest| {
+            offered.push(rest.to_string());
+            rest.starts_with('a')
+        });
+        assert_eq!(n, 1);
+        offered.sort();
+        assert_eq!(offered, vec!["a.cif", "b.cif"]);
+        assert_eq!(
+            fs.list(""),
+            vec![
+                "instances/a.cif",
+                "s1/instances/b.cif",
+                "s10/instances/a.cif"
+            ]
+        );
     }
 
     /// Every [`Value`] variant must survive a serde snapshot round trip

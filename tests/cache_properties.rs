@@ -180,13 +180,26 @@ fn batch_shares_cache_across_workers() {
     let request = ComponentRequest::by_component("counter").attribute("size", "5");
     let mut icdb = Icdb::new();
     icdb.request_component(&request).unwrap(); // prime (cold miss)
-    let requests = vec![request.clone(), request.clone(), request];
+    let requests = vec![request.clone(), request.clone(), request.clone()];
     let names = icdb.request_components_batch(&requests, 3).unwrap();
     assert_eq!(names.len(), 3);
     let stats = icdb.cache_stats();
     assert_eq!(stats.result.lookups(), 4);
     assert_eq!(stats.result.misses, 1, "{stats:?}");
     assert_eq!(stats.result.hits, 3, "{stats:?}");
+
+    // Hits answered on the calling thread and misses fanned out to the
+    // workers still count one lookup per request.
+    let mixed = vec![
+        request.clone(),
+        ComponentRequest::by_implementation("ADDER").attribute("size", "3"),
+        request,
+        ComponentRequest::by_implementation("ALU").attribute("size", "3"),
+    ];
+    icdb.request_components_batch(&mixed, 2).unwrap();
+    let stats = icdb.cache_stats();
+    assert_eq!(stats.result.misses, 3, "{stats:?}");
+    assert_eq!(stats.result.hits, 5, "{stats:?}");
 }
 
 /// The `cache_query` CQL command surfaces the counters.

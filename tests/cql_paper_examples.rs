@@ -287,7 +287,7 @@ fn request_fastest_adder_subtractor_both_forms() {
     let a = icdb.instance(&first).unwrap();
     let b = icdb.instance(second).unwrap();
     assert_eq!(a.netlist.gates.len(), b.netlist.gates.len());
-    assert_eq!(a.implementation, "ADDSUB");
+    assert_eq!(&*a.implementation, "ADDSUB");
 }
 
 /// Appendix B §5.1: function query for ADD ∧ SUB.

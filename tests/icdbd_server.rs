@@ -247,3 +247,40 @@ fn connection_cap_refuses_politely_and_recovers() {
     b.quit().unwrap();
     handle.shutdown();
 }
+
+/// A hostile request nested far past the IIF parser's bound gets an `ERR`
+/// reply instead of overflowing a worker's stack and aborting the daemon,
+/// which keeps greeting new connections.
+#[test]
+fn deeply_nested_iif_is_refused_and_the_daemon_survives() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (handle, _service) = spawn_server(8);
+    let depth = 100_000;
+    let iif = format!(
+        "NAME: DEEP; INORDER: A; OUTORDER: O; {{ O = {}A{}; }}",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut greeting = String::new();
+    reader.read_line(&mut greeting).unwrap();
+    assert!(greeting.starts_with("OK icdbd"), "{greeting}");
+    let line = format!(
+        "{}\ts:{}\n",
+        icdb::net::escape("command:insert_component; IIF:%s"),
+        icdb::net::escape(&iif)
+    );
+    writer.write_all(line.as_bytes()).unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.starts_with("ERR "), "{reply}");
+    assert!(reply.contains("nesting"), "{reply}");
+
+    let mut fresh = IcdbClient::connect(handle.addr()).unwrap();
+    fresh.hello().unwrap();
+    fresh.quit().unwrap();
+    handle.shutdown();
+}

@@ -378,7 +378,7 @@ PIIFVARIABLE: S;
         .request_component(&icdb::ComponentRequest::from_iif(src))
         .unwrap();
     let inst = icdb.instance(&name).unwrap();
-    assert_eq!(inst.implementation, "iif");
+    assert_eq!(&*inst.implementation, "iif");
     assert!(inst.report.clock_width > 0.0);
     assert!(icdb.delay_string(&name).unwrap().contains("SD OPA"));
 }
@@ -470,4 +470,67 @@ fn register_file_writes_and_reads_all_words() {
     sim.set_bus("RA", 2, 1).unwrap();
     sim.propagate();
     assert_eq!(sim.bus("Q", 4).unwrap(), (0x9 ^ 3) & 0xF, "WE low holds");
+}
+
+/// The shape estimate of one netlist is a function of that netlist: the
+/// routing-track count must not depend on the order a hash map yields
+/// nets in (this key used to gain or lose a track about one time in three).
+#[test]
+fn shape_estimation_is_deterministic() {
+    let mut icdb = Icdb::new();
+    let req = ComponentRequest::by_implementation("COUNTER")
+        .attribute("size", "4")
+        .attribute("up_or_down", "1")
+        .attribute("enable", "1")
+        .attribute("load", "1")
+        .strategy("fastest");
+    let name = icdb.request_component(&req).expect("counter generates");
+    let inst = icdb.instance(&name).expect("installed");
+    let shapes: std::collections::BTreeSet<String> = (0..200)
+        .map(|_| {
+            icdb::estimate::estimate_shape(&inst.netlist, &icdb.cells, 8)
+                .expect("counter has cells")
+                .to_alternative_format()
+        })
+        .collect();
+    assert_eq!(shapes.len(), 1, "{shapes:#?}");
+    assert!(shapes.contains(&inst.shape.to_alternative_format()));
+}
+
+/// Sources nested close to the IIF parser's nesting bound still run the
+/// whole pipeline (expansion, synthesis, sizing, estimation) without
+/// exhausting a default-sized thread stack; deeper ones are refused.
+#[test]
+fn iif_nested_close_to_the_parser_bound_generates() {
+    let chain: Vec<String> = (0..120).map(|i| format!("A[{i}]")).collect();
+    let sources = [
+        format!(
+            "NAME: CHAIN; INORDER: A[120]; OUTORDER: O; {{ O = {}; }}",
+            chain.join(" (+) ")
+        ),
+        format!(
+            "NAME: PARENS; INORDER: A, B; OUTORDER: O; {{ O = {}A * B{}; }}",
+            "(".repeat(60),
+            ")".repeat(60)
+        ),
+        format!(
+            "NAME: BLOCKS; INORDER: A, B; OUTORDER: O; {}O = A (+) B;{}",
+            "{".repeat(120),
+            "}".repeat(120)
+        ),
+    ];
+    let mut icdb = Icdb::new();
+    for src in &sources {
+        let req = ComponentRequest::from_iif(src);
+        icdb.request_component(&req)
+            .unwrap_or_else(|e| panic!("{}: {e}", &src[..12]));
+    }
+    let too_deep = format!(
+        "NAME: DEEP; INORDER: A; OUTORDER: O; {{ O = {}A{}; }}",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    assert!(icdb
+        .request_component(&ComponentRequest::from_iif(&too_deep))
+        .is_err());
 }
